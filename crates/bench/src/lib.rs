@@ -370,10 +370,8 @@ fn collect_functors(term: &Term, out: &mut Vec<(Symbol, usize)>) {
 /// does.
 fn leaf_clause(program: &Program, entry: &str) -> (String, String) {
     let index = program.predicate_index();
-    let user: std::collections::HashSet<(Symbol, usize)> = index
-        .iter()
-        .map(|(key, _)| (key.name, key.arity))
-        .collect();
+    let user: std::collections::HashSet<(Symbol, usize)> =
+        index.iter().map(|(key, _)| (key.name, key.arity)).collect();
     // Static call graph: callers[callee] = set of callers, over the
     // conservative deep-functor scan of each clause body.
     let mut callers: std::collections::HashMap<(Symbol, usize), Vec<(Symbol, usize)>> =

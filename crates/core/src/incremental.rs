@@ -304,12 +304,9 @@ fn clause_map(program: &Program) -> BTreeMap<(String, usize), Vec<String>> {
     let mut map: BTreeMap<(String, usize), Vec<String>> = BTreeMap::new();
     for clause in &program.clauses {
         let key = clause.pred_key();
-        map.entry((
-            program.interner.resolve(key.name).to_owned(),
-            key.arity,
-        ))
-        .or_default()
-        .push(pretty::clause_to_string(clause, &program.interner));
+        map.entry((program.interner.resolve(key.name).to_owned(), key.arity))
+            .or_default()
+            .push(pretty::clause_to_string(clause, &program.interner));
     }
     map
 }
@@ -485,8 +482,7 @@ pub fn migrate_parts(
     // their summaries, versions reset to 0; stale survivors are reset to
     // unexplored (the re-fixpoint frontier); dropped entries vanish.
     let mut new_interner = new_analyzer.new_session_interner();
-    let mut new_table =
-        ExtensionTable::new(new_compiled.predicates.len(), new_analyzer.et_impl());
+    let mut new_table = ExtensionTable::new(new_compiled.predicates.len(), new_analyzer.et_impl());
     if new_analyzer.provenance_enabled() {
         new_table.enable_provenance();
     }
@@ -541,7 +537,14 @@ pub fn migrate_parts(
             new_table.seed_derivation(
                 new_pred,
                 new_idx,
-                remap_derivation(derivation, &pred_map, &old_interner, &mut new_interner, old_names, new_names),
+                remap_derivation(
+                    derivation,
+                    &pred_map,
+                    &old_interner,
+                    &mut new_interner,
+                    old_names,
+                    new_names,
+                ),
             );
         }
     }
@@ -621,10 +624,14 @@ fn remap_derivation(
     new_names: &Interner,
 ) -> Derivation {
     let origin = derivation.origin.and_then(|o| {
-        pred_map.get(o.pred).copied().flatten().map(|pred| DerivationOrigin {
-            pred,
-            clause: o.clause,
-        })
+        pred_map
+            .get(o.pred)
+            .copied()
+            .flatten()
+            .map(|pred| DerivationOrigin {
+                pred,
+                clause: o.clause,
+            })
     });
     let parent_call = derivation.parent_call.and_then(|id| {
         remap_pattern(old_interner.resolve(id), old_names, new_names)
@@ -933,10 +940,14 @@ impl Workspace {
     /// The `(pred, entry index)` set reachable from the goal's entry via
     /// recorded dependency edges (the goal entry included), after
     /// ensuring the goal has been analyzed.
-    fn core_entries(&mut self, name: &str, specs: &[&str]) -> Result<Vec<(usize, usize)>, AnalysisError> {
+    fn core_entries(
+        &mut self,
+        name: &str,
+        specs: &[&str],
+    ) -> Result<Vec<(usize, usize)>, AnalysisError> {
         self.analyze(name, specs)?;
-        let entry = Pattern::from_spec(specs)
-            .ok_or_else(|| AnalysisError::BadSpec(specs.join(", ")))?;
+        let entry =
+            Pattern::from_spec(specs).ok_or_else(|| AnalysisError::BadSpec(specs.join(", ")))?;
         let (pred, entry) = self.analyzer.resolve_entry(name, &entry)?;
         let parts = self.parts.as_mut().expect("analyze populated the session");
         let entry_id = parts.interner_mut().intern(entry.clone());
@@ -1011,7 +1022,9 @@ mod tests {
         let mut cold_ws = Workspace::from_source(ws.source()).unwrap();
         assert_eq!(
             ws.core_dump("app", &["glist", "glist", "var"]).unwrap(),
-            cold_ws.core_dump("app", &["glist", "glist", "var"]).unwrap()
+            cold_ws
+                .core_dump("app", &["glist", "glist", "var"])
+                .unwrap()
         );
         assert_eq!(
             ws.core_report("app", &["glist", "glist", "var"]).unwrap(),

@@ -310,8 +310,7 @@ impl<'a> Session<'a> {
         let builder = self.analyzer.config_builder();
         let budget = self.step_budget;
         let parts = self.into_parts();
-        let mut workspace =
-            crate::incremental::Workspace::resume(builder, source, parts, budget)?;
+        let mut workspace = crate::incremental::Workspace::resume(builder, source, parts, budget)?;
         workspace.apply_edit(edit)?;
         Ok(workspace)
     }

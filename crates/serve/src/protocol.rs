@@ -221,8 +221,9 @@ pub fn parse_request(line: &str) -> Result<Envelope, BadRequest> {
         }
         "update" => {
             let hash = required_str(&doc, "program", "update")?;
-            let program = u64::from_str_radix(&hash, 16)
-                .map_err(|_| BadRequest("update: `program` must be a 16-hex-digit hash".to_owned()))?;
+            let program = u64::from_str_radix(&hash, 16).map_err(|_| {
+                BadRequest("update: `program` must be a 16-hex-digit hash".to_owned())
+            })?;
             Request::Update {
                 program,
                 source: required_str(&doc, "source", "update")?,
