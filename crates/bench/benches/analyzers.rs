@@ -119,22 +119,20 @@ fn domain_micro() {
             MIN_MS,
         ),
     );
+    // Extract-then-intern: the per-clause "summary unchanged" check of
+    // the fixpoint (a dedup hit after the first round).
+    let mut interner = absdom::SessionInterner::default();
     report(
         "domain",
-        "match_hit",
+        "extract_intern",
         time_us(
             || {
-                black_box(awam_core::matcher::matches(&heap, &cells, 4, &p));
-            },
-            MIN_MS,
-        ),
-    );
-    report(
-        "domain",
-        "match_miss",
-        time_us(
-            || {
-                black_box(awam_core::matcher::matches(&heap, &cells, 4, &q));
+                black_box(awam_core::extract::extract_interned(
+                    &heap,
+                    &cells,
+                    4,
+                    &mut interner,
+                ));
             },
             MIN_MS,
         ),

@@ -7,10 +7,10 @@
 //! to implement them: a `Vec<Pattern>` scanned by structural equality
 //! (the paper's linear list) and a `BTreeMap<Pattern, usize>` whose
 //! probes pay O(log n) full pattern `Ord` walks (the pre-interning
-//! `Hashed` index). The interned probe hashes the probe pattern once
+//! hashed index). The interned probe hashes the probe pattern once
 //! into the session interner, then looks up a fixed-seed
-//! `FxHashMap<PatternId, usize>` — the consult path `EtImpl::Hashed`
-//! uses today.
+//! `FxHashMap<PatternId, usize>` — the consult path
+//! `ExtensionTable::find` uses today.
 //!
 //! The workload models what one predicate's extension table actually
 //! holds: a *family* of calling patterns produced by the same call
@@ -174,12 +174,12 @@ fn main() {
             &probes,
         );
 
-        // Structural ordered index — the pre-interning `Hashed` impl
+        // Structural ordered index — the pre-interning hashed index
         // (`BTreeMap<Pattern, usize>`: O(log n) pattern Ord walks).
         let structural: BTreeMap<Pattern, usize> = patterns.iter().cloned().zip(0..).collect();
         let structural_ns = time_ns(|probe| structural.get(&patterns[probe]).copied(), &probes);
 
-        // Interned probe — today's `Hashed` impl: hash the probe pattern
+        // Interned probe — today's table: hash the probe pattern
         // once into the interner (every steady-state consult is a dedup
         // hit: no clone, no allocation), then an id-keyed fixed-seed
         // hash-map lookup, as in the production table.

@@ -2,7 +2,7 @@
 //! restriction k (the paper fixes k = 4, following Taylor's analyzer).
 
 use absdom::Pattern;
-use awam_core::{Analyzer, EtImpl};
+use awam_core::Analyzer;
 
 fn main() {
     println!("Ablation A — term-depth restriction k (paper: k = 4)\n");
@@ -16,7 +16,6 @@ fn main() {
         for k in [1, 2, 3, 4, 6, 8] {
             let analyzer = Analyzer::builder()
                 .depth(k)
-                .et_impl(EtImpl::Linear)
                 .compile(&program)
                 .expect("compile");
             let entry = Pattern::from_spec(b.entry_specs).expect("entry");

@@ -11,7 +11,6 @@
 //! * `figure3` — the compiled WAM code for the paper's §2/§4 example
 //!   clause and its abstract execution result;
 //! * `ablation_depth` — A: analysis time/precision vs. term-depth k;
-//! * `ablation_et` — B: linear-list vs. hashed extension table;
 //! * `ablation_domain` — C: domain precision vs. time;
 //! * `ablation_strategy` — D: global-restart vs. worklist fixpoint;
 //! * `opt_report` — the optimizations the analysis enables (`wam-opt`);
@@ -20,7 +19,7 @@
 //! * `hosted_check` / `hosted_dump` / `prof` — inspection tools.
 
 use absdom::Pattern;
-use awam_core::{Analyzer, EtImpl, ProgramEdit, Workspace};
+use awam_core::{Analyzer, ProgramEdit, Workspace};
 use awam_obs::{InvalidationStats, Json, TableStats};
 use baseline::BaselineAnalyzer;
 use bench_suite::Benchmark;
@@ -100,16 +99,13 @@ pub fn time_us<F: FnMut()>(mut f: F, min_total_ms: u64) -> f64 {
 ///
 /// Panics if the benchmark fails to parse, compile or analyze — the test
 /// suite guarantees it does not.
-pub fn run_benchmark(b: &Benchmark, depth_k: usize, et: EtImpl) -> Row {
+pub fn run_benchmark(b: &Benchmark, depth_k: usize) -> Row {
     let program = b.parse().expect("benchmark parses");
     let compiled = wam::compile_program(&program).expect("benchmark compiles");
     let size = compiled.code_size();
 
     // One instrumented run for Exec / iterations.
-    let analyzer = Analyzer::builder()
-        .depth(depth_k)
-        .et_impl(et)
-        .build(compiled.clone());
+    let analyzer = Analyzer::builder().depth(depth_k).build(compiled.clone());
     let entry = Pattern::from_spec(b.entry_specs).expect("entry spec");
     let analysis = analyzer.analyze(b.entry, &entry).expect("analysis runs");
 
@@ -194,11 +190,11 @@ pub fn rows_to_json(rows: &[Row]) -> Json {
     )
 }
 
-/// Run all benchmarks at the paper's settings (k = 4, linear table).
+/// Run all benchmarks at the paper's settings (k = 4).
 pub fn table1_rows() -> Vec<Row> {
     bench_suite::all()
         .iter()
-        .map(|b| run_benchmark(b, absdom::DEFAULT_TERM_DEPTH, EtImpl::Linear))
+        .map(|b| run_benchmark(b, absdom::DEFAULT_TERM_DEPTH))
         .collect()
 }
 
@@ -599,7 +595,7 @@ mod tests {
     #[test]
     fn single_benchmark_runs() {
         let b = bench_suite::by_name("tak").unwrap();
-        let row = run_benchmark(&b, 4, EtImpl::Linear);
+        let row = run_benchmark(&b, 4);
         assert!(row.exec > 0);
         assert!(row.compiled_us > 0.0);
         assert!(row.baseline_us > 0.0);

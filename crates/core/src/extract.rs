@@ -501,6 +501,18 @@ mod tests {
         ACell::Ref(a)
     }
 
+    /// Extract `args` through reused scratch buffers (twice, so the second
+    /// run sees recycled state), intern the result, and check the id is
+    /// the one `expected` interns to.
+    fn assert_interned_eq(heap: &[ACell], args: &[ACell], depth_k: usize, expected: Pattern) {
+        let mut interner = SessionInterner::default();
+        let mut scratch = ExtractScratch::default();
+        let first = interner.intern_ref(extract_with(heap, args, depth_k, &mut scratch));
+        let second = interner.intern_ref(extract_with(heap, args, depth_k, &mut scratch));
+        assert_eq!(first, second);
+        assert_eq!(first, interner.intern(expected));
+    }
+
     #[test]
     fn extract_simple_leaves() {
         let mut heap = Vec::new();
@@ -598,8 +610,9 @@ mod tests {
             vec![0],
         );
         assert_eq!(pat, expected);
-        // The allocation-free matcher stays in lockstep on the same heap.
-        assert!(crate::matcher::matches(&heap, &[ACell::Ref(x)], 4, &pat));
+        // The machine's scratch-buffer extract-then-intern path lands on
+        // the same id as the expected pattern.
+        assert_interned_eq(&heap, &[ACell::Ref(x)], 4, expected);
     }
 
     #[test]
@@ -630,12 +643,7 @@ mod tests {
             vec![0, 3],
         );
         assert_eq!(pat, expected);
-        assert!(crate::matcher::matches(
-            &heap,
-            &[ACell::Lis(p), ACell::Lis(q)],
-            4,
-            &pat
-        ));
+        assert_interned_eq(&heap, &[ACell::Lis(p), ACell::Lis(q)], 4, expected);
     }
 
     #[test]

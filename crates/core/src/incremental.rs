@@ -482,7 +482,7 @@ pub fn migrate_parts(
     // their summaries, versions reset to 0; stale survivors are reset to
     // unexplored (the re-fixpoint frontier); dropped entries vanish.
     let mut new_interner = new_analyzer.new_session_interner();
-    let mut new_table = ExtensionTable::new(new_compiled.predicates.len(), new_analyzer.et_impl());
+    let mut new_table = ExtensionTable::new(new_compiled.predicates.len());
     if new_analyzer.provenance_enabled() {
         new_table.enable_provenance();
     }
@@ -595,7 +595,6 @@ pub fn migrate_parts(
     let mut machine = AbstractMachine::with_table(
         new_compiled,
         new_analyzer.depth_k(),
-        new_analyzer.et_impl(),
         new_table,
         new_interner,
     );

@@ -78,7 +78,6 @@ pub mod extract;
 pub mod fault;
 pub mod incremental;
 pub mod machine;
-pub mod matcher;
 pub mod provenance;
 pub mod report;
 pub mod session;
@@ -92,7 +91,7 @@ pub use machine::{AbstractMachine, AnalysisError};
 pub use provenance::{ChainStep, DerivationReport, EntryDerivation, PredDerivations};
 pub use report::ArgMode;
 pub use session::{Session, SessionParts};
-pub use table::{Derivation, DerivationOrigin, EtImpl, ExtensionTable, LubStep};
+pub use table::{Derivation, DerivationOrigin, ExtensionTable, LubStep};
 
 /// A stable 64-bit fingerprint of a program's source text (FNV-1a).
 ///

@@ -22,7 +22,7 @@
 
 use crate::acell::ACell;
 use crate::extract::{deref, extract, extract_with, materialize, materialize_into, ExtractScratch};
-use crate::table::{DerivationOrigin, EtImpl, ExtensionTable};
+use crate::table::{DerivationOrigin, ExtensionTable};
 use crate::IterationStrategy;
 use absdom::{AbsLeaf, DomainConfig, Pattern, PatternId, SessionInterner};
 use awam_exec::{Flow, Frame, Interpretation, Mode};
@@ -204,8 +204,6 @@ pub struct AbstractMachine<'p> {
     /// scratch would be clobbered; a pool hands each depth its own buffer
     /// and takes it back on the way out.
     cell_pool: Vec<Vec<ACell>>,
-    /// Scratch buffers for the per-clause summary fast-path check.
-    match_scratch: crate::matcher::MatchScratch,
     /// Scratch buffers for pattern extraction (one per machine; the
     /// extracted pattern is interned clone-on-miss straight out of here).
     extract_scratch: ExtractScratch,
@@ -455,12 +453,11 @@ impl Interpretation for AbstractMachine<'_> {
 impl<'p> AbstractMachine<'p> {
     /// Create a machine over `program` with term-depth `depth_k` and a
     /// standalone pattern interner (no shared base arena).
-    pub fn new(program: &'p CompiledProgram, depth_k: usize, et: EtImpl) -> Self {
+    pub fn new(program: &'p CompiledProgram, depth_k: usize) -> Self {
         Self::with_table(
             program,
             depth_k,
-            et,
-            ExtensionTable::new(program.predicates.len(), et),
+            ExtensionTable::new(program.predicates.len()),
             SessionInterner::default(),
         )
     }
@@ -471,20 +468,14 @@ impl<'p> AbstractMachine<'p> {
     /// high-water mark so that no seeded entry is mistaken for "already
     /// explored this round"; fixpoint runs report rounds *performed by
     /// that run*, so seeded and fresh runs stay comparable.
-    ///
-    /// The `et` parameter is the ablation label the `table` was created
-    /// with; the unified id-indexed consult means the machine itself no
-    /// longer branches on it.
     pub fn with_table(
         program: &'p CompiledProgram,
         depth_k: usize,
-        et: EtImpl,
         table: ExtensionTable,
         interner: SessionInterner,
     ) -> Self {
         let iter = table.max_explored_iter();
         let record_provenance = table.provenance_enabled();
-        debug_assert_eq!(et, table.impl_kind(), "table built for a different EtImpl");
         AbstractMachine {
             program,
             table,
@@ -525,7 +516,6 @@ impl<'p> AbstractMachine<'p> {
             mat_done: Vec::new(),
             apply_args: Vec::new(),
             cell_pool: Vec::new(),
-            match_scratch: crate::matcher::MatchScratch::default(),
             max_depth: 2_000,
             step_budget: None,
         }
@@ -933,11 +923,9 @@ impl<'p> AbstractMachine<'p> {
         let mut caller_args = self.cell_pool.pop().unwrap_or_default();
         caller_args.clear();
         caller_args.extend_from_slice(&self.frame.x[..arity]);
-        // Interned consult, identical in both table modes: build + intern
-        // the calling pattern once, then the lookup is a single id-indexed
-        // probe (the Linear rescan — and the structural matcher that
-        // used to avoid it — are gone; `ExtensionTable::find` asserts
-        // probe/scan parity in debug builds).
+        // Interned consult: build + intern the calling pattern once, then
+        // the lookup is a single id-indexed probe (`ExtensionTable::find`
+        // asserts parity with the paper's linear rescan in debug builds).
         let t0 = self.profile_timing.then(Stopwatch::start);
         let cp = self.extract_pattern_id(&caller_args);
         let found = self.table.find(pred, cp);
@@ -1098,33 +1086,16 @@ impl<'p> AbstractMachine<'p> {
             }
             if ok {
                 // Fast path: if the stored summary already equals this
-                // clause's success pattern, nothing can change.
+                // clause's success pattern, nothing can change. Interned
+                // patterns are canonical, so equality is an id compare.
                 let t0 = self.profile_timing.then(Stopwatch::start);
-                let unchanged = self.config.is_full()
-                    && match self.table.entry(pred, entry_idx).success {
-                        Some(sp) => {
-                            let mut scratch = std::mem::take(&mut self.match_scratch);
-                            let hit = crate::matcher::matches_with(
-                                &self.frame.heap,
-                                &callee_args,
-                                self.depth_k,
-                                self.interner.resolve(sp),
-                                &mut scratch,
-                            );
-                            self.match_scratch = scratch;
-                            hit
-                        }
-                        None => false,
-                    };
+                let sp = self.extract_pattern_id(&callee_args);
                 if let Some(t0) = t0 {
-                    self.table_ns += t0.elapsed_ns();
+                    self.extract_ns += t0.elapsed_ns();
                 }
+                let unchanged =
+                    self.config.is_full() && self.table.entry(pred, entry_idx).success == Some(sp);
                 if !unchanged {
-                    let t0 = self.profile_timing.then(Stopwatch::start);
-                    let sp = self.extract_pattern_id(&callee_args);
-                    if let Some(t0) = t0 {
-                        self.extract_ns += t0.elapsed_ns();
-                    }
                     let t0 = self.profile_timing.then(Stopwatch::start);
                     let grew = self.table.update_success(
                         pred,

@@ -17,7 +17,7 @@
 //!
 //! [`DerivationReport::refold_violation`] replays each chain through the
 //! structural [`Pattern::lub`] and confirms it re-derives the stored
-//! summary exactly — the invariant testkit oracle #7 enforces.
+//! summary exactly — the invariant the testkit `provenance` oracle enforces.
 
 use crate::table::ExtensionTable;
 use absdom::{Pattern, PatternId, SessionInterner};

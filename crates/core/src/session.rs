@@ -361,7 +361,7 @@ impl<'a> Session<'a> {
 }
 
 fn fresh_table(analyzer: &Analyzer) -> ExtensionTable {
-    let mut table = ExtensionTable::new(analyzer.program().predicates.len(), analyzer.et_impl());
+    let mut table = ExtensionTable::new(analyzer.program().predicates.len());
     if analyzer.provenance_enabled() {
         table.enable_provenance();
     }

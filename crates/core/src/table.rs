@@ -6,15 +6,12 @@
 //! each calling pattern are lubbed together (§6 of the paper).
 //!
 //! The paper implements the table as "a linear list of (calling-pattern,
-//! success-pattern) pairs"; [`EtImpl::Linear`] reproduces that, and
-//! [`EtImpl::Hashed`] adds an index for the ablation study (our
-//! Ablation B).
-//!
-//! Patterns are stored as interned [`PatternId`]s (see
-//! [`absdom::intern`]): the linear scan compares integers instead of
-//! walking pattern graphs, the hashed index keys on ids with no pattern
-//! clones, and the summary lub / subsumption probes go through the
-//! session interner's memo caches.
+//! success-pattern) pairs". Patterns are stored as interned
+//! [`PatternId`]s (see [`absdom::intern`]), so entry equality is an
+//! integer compare and a per-predicate id index answers each consult in
+//! one probe — exactly the entry the paper's linear scan would find,
+//! which debug builds re-check. The summary lub / subsumption probes go
+//! through the session interner's memo caches.
 
 use absdom::{FxHashMap, PatternId, SessionInterner};
 use awam_obs::TableStats;
@@ -33,7 +30,7 @@ pub struct DerivationOrigin {
 /// iteration that produced the input pattern, and the summary the lub
 /// grew to. Non-growing inputs (`input ⊑ summary`) are not recorded —
 /// folding the recorded inputs with the lattice lub re-derives the
-/// stored summary exactly (testkit oracle #7 enforces this).
+/// stored summary exactly (the testkit `provenance` oracle enforces this).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LubStep {
     /// Clause index (within the entry's own predicate) whose solution
@@ -68,16 +65,6 @@ pub struct Derivation {
     pub lub_steps: Vec<LubStep>,
 }
 
-/// Which lookup structure the table uses.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum EtImpl {
-    /// Linear scan per predicate — the paper's implementation.
-    #[default]
-    Linear,
-    /// Hash index from calling pattern to entry.
-    Hashed,
-}
-
 /// One memo entry.
 #[derive(Clone, Copy, Debug)]
 pub struct Entry {
@@ -99,12 +86,11 @@ struct PredTable {
     /// exploration read; parallel to `entries` (kept out of [`Entry`] so
     /// the entry itself stays `Copy`).
     deps: Vec<Vec<(usize, usize, u64)>>,
-    /// Calling-pattern id → entry index, maintained in **both** table
-    /// modes. `Hashed` consults it directly; `Linear` uses it as an
-    /// id-indexed probe that replaces the per-entry rescan while keeping
-    /// the paper's semantics (interned ids make `call == entry.call` an
-    /// integer compare, so one probe decides what the scan decided —
-    /// debug builds assert the parity). A fixed-seed hash map
+    /// Calling-pattern id → entry index: an id-indexed probe that
+    /// replaces the per-entry rescan while keeping the paper's semantics
+    /// (interned ids make `call == entry.call` an integer compare, so one
+    /// probe decides what the scan decided — debug builds assert the
+    /// parity). A fixed-seed hash map
     /// ([`FxHashMap`]), not `std`'s `RandomState`-seeded one: the
     /// per-instance random seed would make any future iteration over the
     /// index nondeterministic between runs (the same bug class the
@@ -116,7 +102,6 @@ struct PredTable {
 #[derive(Clone, Debug)]
 pub struct ExtensionTable {
     preds: Vec<PredTable>,
-    impl_kind: EtImpl,
     /// Whether any success entry changed since the flag was last cleared.
     changed: bool,
     /// Cached running maximum of every entry's `explored_iter` (kept by
@@ -131,10 +116,9 @@ pub struct ExtensionTable {
 
 impl ExtensionTable {
     /// Create a table for `num_preds` predicates.
-    pub fn new(num_preds: usize, impl_kind: EtImpl) -> Self {
+    pub fn new(num_preds: usize) -> Self {
         ExtensionTable {
             preds: vec![PredTable::default(); num_preds],
-            impl_kind,
             changed: false,
             max_explored: 0,
             prov: None,
@@ -187,21 +171,13 @@ impl ExtensionTable {
         }
     }
 
-    /// The lookup-structure label this table was created with. Since the
-    /// id-indexed probe unified the consult path, both modes share the
-    /// same lookup code; the label remains for ablation reporting.
-    pub fn impl_kind(&self) -> EtImpl {
-        self.impl_kind
-    }
-
     /// Index of the entry for `call` under `pred`, if present. Equality
-    /// is an integer compare on interned ids, and both table modes answer
-    /// from the per-predicate id index in one probe (`scan_steps` remains
-    /// the consult-cost counter: exactly one step per lookup now). The
-    /// Linear mode's probe is semantics-preserving — interned ids are
-    /// canonical, so the probe finds precisely the entry the paper's
-    /// linear rescan would have found, which debug builds re-check
-    /// against the scan on every call.
+    /// is an integer compare on interned ids, answered from the
+    /// per-predicate id index in one probe (`scan_steps` remains the
+    /// consult-cost counter: exactly one step per lookup). The probe is
+    /// semantics-preserving — interned ids are canonical, so it finds
+    /// precisely the entry the paper's linear rescan would have found,
+    /// which debug builds re-check against the scan on every call.
     pub fn find(&mut self, pred: usize, call: PatternId) -> Option<usize> {
         self.stats.lookups += 1;
         self.stats.scan_steps += 1;
@@ -269,15 +245,12 @@ impl ExtensionTable {
 
     /// Insert a fresh entry (marked explored in `iter`) and return its
     /// index. The calling pattern is an interned id, so nothing is
-    /// cloned — the hashed index stores the same id.
+    /// cloned — the id index stores the same id.
     pub fn insert(&mut self, pred: usize, call: PatternId, iter: u64) -> usize {
         self.stats.inserts += 1;
         self.max_explored = self.max_explored.max(iter);
         let table = &mut self.preds[pred];
         let idx = table.entries.len();
-        // Both modes maintain the id index (see `PredTable::index`); the
-        // `impl_kind` distinction is now purely the ablation label plus
-        // the historical counter semantics.
         table.index.insert(call, idx);
         table.entries.push(Entry {
             call,
@@ -480,22 +453,20 @@ mod tests {
 
     #[test]
     fn insert_and_find() {
-        for kind in [EtImpl::Linear, EtImpl::Hashed] {
-            let mut interner = SessionInterner::default();
-            let any = pat(&mut interner, &["any"]);
-            let g = pat(&mut interner, &["g"]);
-            let mut t = ExtensionTable::new(2, kind);
-            assert!(t.find(0, any).is_none());
-            let idx = t.insert(0, any, 1);
-            assert_eq!(t.find(0, any), Some(idx));
-            assert!(t.find(1, any).is_none(), "per-predicate");
-            assert!(t.find(0, g).is_none());
-        }
+        let mut interner = SessionInterner::default();
+        let any = pat(&mut interner, &["any"]);
+        let g = pat(&mut interner, &["g"]);
+        let mut t = ExtensionTable::new(2);
+        assert!(t.find(0, any).is_none());
+        let idx = t.insert(0, any, 1);
+        assert_eq!(t.find(0, any), Some(idx));
+        assert!(t.find(1, any).is_none(), "per-predicate");
+        assert!(t.find(0, g).is_none());
     }
 
     #[test]
     fn insert_stores_the_id_without_new_interning() {
-        // Regression: the hashed index used to clone the calling pattern
+        // Regression: the index used to clone the calling pattern
         // as its map key. With interned ids the insert path allocates no
         // pattern at all — re-interning the same pattern after the insert
         // is a dedup hit and the arena has not grown.
@@ -503,7 +474,7 @@ mod tests {
         let call = pat(&mut interner, &["glist", "var"]);
         let misses_before = interner.stats().intern_misses;
         let arena_before = interner.len();
-        let mut t = ExtensionTable::new(1, EtImpl::Hashed);
+        let mut t = ExtensionTable::new(1);
         let idx = t.insert(0, call, 1);
         assert_eq!(interner.len(), arena_before, "insert interned nothing");
         let again = pat(&mut interner, &["glist", "var"]);
@@ -520,7 +491,7 @@ mod tests {
         let atom = pat(&mut interner, &["atom"]);
         let int = pat(&mut interner, &["int"]);
         let konst = pat(&mut interner, &["const"]);
-        let mut t = ExtensionTable::new(1, EtImpl::Linear);
+        let mut t = ExtensionTable::new(1);
         let idx = t.insert(0, any, 1);
         assert!(!t.changed());
         t.update_success(0, idx, atom, &mut interner, None);
@@ -539,7 +510,7 @@ mod tests {
     fn explored_iteration_tracking() {
         let mut interner = SessionInterner::default();
         let empty = pat(&mut interner, &[]);
-        let mut t = ExtensionTable::new(1, EtImpl::Linear);
+        let mut t = ExtensionTable::new(1);
         let idx = t.insert(0, empty, 1);
         assert_eq!(t.entry(0, idx).explored_iter, 1);
         t.mark_explored(0, idx, 2);
@@ -551,7 +522,7 @@ mod tests {
         let mut interner = SessionInterner::default();
         let any = pat(&mut interner, &["any"]);
         let g = pat(&mut interner, &["g"]);
-        let mut t = ExtensionTable::new(2, EtImpl::Linear);
+        let mut t = ExtensionTable::new(2);
         assert_eq!(t.max_explored_iter(), 0);
         let idx = t.insert(0, any, 3);
         assert_eq!(t.max_explored_iter(), 3);
@@ -569,7 +540,7 @@ mod tests {
         let any = pat(&mut interner, &["any"]);
         let g = pat(&mut interner, &["g"]);
         let var = pat(&mut interner, &["var"]);
-        let mut t = ExtensionTable::new(1, EtImpl::Linear);
+        let mut t = ExtensionTable::new(1);
         t.insert(0, any, 1);
         t.insert(0, g, 1);
         t.find(0, g);
@@ -591,7 +562,7 @@ mod tests {
         let any = pat(&mut interner, &["any"]);
         let atom = pat(&mut interner, &["atom"]);
         let int = pat(&mut interner, &["int"]);
-        let mut t = ExtensionTable::new(1, EtImpl::Linear);
+        let mut t = ExtensionTable::new(1);
         let idx = t.insert(0, any, 1);
         t.update_success(0, idx, atom, &mut interner, None); // first summary
         t.update_success(0, idx, atom, &mut interner, None); // identical: fast path
@@ -615,7 +586,7 @@ mod tests {
         let konst = pat(&mut interner, &["const"]);
         let atom = pat(&mut interner, &["atom"]);
         let int = pat(&mut interner, &["int"]);
-        let mut t = ExtensionTable::new(1, EtImpl::Linear);
+        let mut t = ExtensionTable::new(1);
         let idx = t.insert(0, any_arg, 1);
         t.update_success(0, idx, konst, &mut interner, None);
         t.clear_changed();
@@ -639,7 +610,7 @@ mod tests {
         let atom = pat(&mut interner, &["atom"]);
         let int = pat(&mut interner, &["int"]);
         let konst = pat(&mut interner, &["const"]);
-        let mut t = ExtensionTable::new(2, EtImpl::Linear);
+        let mut t = ExtensionTable::new(2);
         assert!(!t.provenance_enabled());
         t.enable_provenance();
         assert!(t.provenance_enabled());
@@ -677,7 +648,7 @@ mod tests {
             "only growing updates are recorded"
         );
         // Entries without tracking report no derivation.
-        let plain = ExtensionTable::new(1, EtImpl::Linear);
+        let plain = ExtensionTable::new(1);
         assert!(plain.derivation(0, 0).is_none());
     }
 
@@ -686,7 +657,7 @@ mod tests {
         let mut interner = SessionInterner::default();
         let any_arg = pat(&mut interner, &["any"]);
         let g = pat(&mut interner, &["g"]);
-        let mut t = ExtensionTable::new(1, EtImpl::Linear);
+        let mut t = ExtensionTable::new(1);
         t.insert(0, any_arg, 1);
         t.enable_provenance();
         let seeded = t.derivation(0, 0).unwrap();
@@ -701,14 +672,14 @@ mod tests {
         let any = pat(&mut interner, &["any"]);
         let g = pat(&mut interner, &["g"]);
         let atom = pat(&mut interner, &["atom"]);
-        let mut t = ExtensionTable::new(1, EtImpl::Linear);
+        let mut t = ExtensionTable::new(1);
         let idx = t.insert(0, any, 1);
         // atom ⊑ any: subsumed by the memoized entry.
         assert_eq!(t.find_subsuming(0, atom, &mut interner), Some(idx));
         assert_eq!(t.find_subsuming(0, g, &mut interner), Some(idx));
         // The probe warmed the leq cache.
         assert!(interner.stats().leq_calls > 0);
-        let mut narrow = ExtensionTable::new(1, EtImpl::Linear);
+        let mut narrow = ExtensionTable::new(1);
         narrow.insert(0, atom, 1);
         assert_eq!(narrow.find_subsuming(0, any, &mut interner), None);
     }

@@ -2,7 +2,7 @@
 //! WAM to fixpoint, and check the inferred modes/types/aliasing.
 
 use absdom::{AbsLeaf, Pattern};
-use awam_core::{Analyzer, ArgMode, EtImpl};
+use awam_core::{Analyzer, ArgMode};
 use prolog_syntax::parse_program;
 
 fn analyze(src: &str, pred: &str, specs: &[&str]) -> (awam_core::Analysis, Analyzer) {
@@ -275,31 +275,6 @@ fn depth_restriction_controls_precision() {
     // Both remain sound (ground in both cases).
     assert!(s_deep.node_is_ground(s_deep.root(1)));
     assert!(s_shallow.node_is_ground(s_shallow.root(1)));
-}
-
-#[test]
-fn hashed_and_linear_tables_agree() {
-    let src = "
-        nrev([], []).
-        nrev([H|T], R) :- nrev(T, RT), app(RT, [H], R).
-        app([], L, L).
-        app([H|T], L, [H|R]) :- app(T, L, R).
-    ";
-    let program = parse_program(src).unwrap();
-    let lin = Analyzer::builder()
-        .et_impl(EtImpl::Linear)
-        .compile(&program)
-        .unwrap();
-    let hsh = Analyzer::builder()
-        .et_impl(EtImpl::Hashed)
-        .compile(&program)
-        .unwrap();
-    let a = lin.analyze_query("nrev", &["glist", "var"]).unwrap();
-    let b = hsh.analyze_query("nrev", &["glist", "var"]).unwrap();
-    for (pa, pb) in a.predicates.iter().zip(&b.predicates) {
-        assert_eq!(pa.name, pb.name);
-        assert_eq!(pa.entries, pb.entries, "{}", pa.name);
-    }
 }
 
 #[test]

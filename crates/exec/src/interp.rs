@@ -26,10 +26,7 @@
 
 use crate::cell::CellRepr;
 use crate::frame::{Frame, Mode};
-use wam::{
-    Builtin, CodeAddr, CompiledProgram, Functor, Instr, PredIdx, UnifyOp, WamConst,
-    FIRST_FUSED_OPCODE,
-};
+use wam::{Builtin, CodeAddr, CompiledProgram, Functor, Instr, PredIdx, WamConst};
 
 /// What the driver loop should do after one dispatched instruction.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -184,14 +181,8 @@ pub fn step<I: Interpretation>(m: &mut I, program: &CompiledProgram) -> Result<F
     let instr = &program.code[pc];
     {
         let f = m.frame_mut();
-        let idx = instr.opcode_index();
-        // Fused superinstructions count their own constituents inside
-        // their arms; a generic hit here would put superinstruction
-        // opcodes into every histogram and break fused/unfused parity.
-        if idx < FIRST_FUSED_OPCODE {
-            f.opcodes.hit(idx);
-            f.executed += 1;
-        }
+        f.opcodes.hit(instr.opcode_index());
+        f.executed += 1;
         f.pc = pc + 1;
     }
     use Instr::*;
@@ -348,127 +339,6 @@ pub fn step<I: Interpretation>(m: &mut I, program: &CompiledProgram) -> Result<F
         SwitchOnConstant(table) => return Ok(m.switch_on_constant(table)),
         SwitchOnStructure(table) => return Ok(m.switch_on_structure(table)),
         &Fail => false,
-        // ----- fused superinstructions: one fetch/decode per run -----
-        //
-        // Each arm replicates its constituents' effects exactly and
-        // attributes the executions back to the plain opcodes, so opcode
-        // histograms, `executed`, and failure accounting are
-        // byte-identical to the unfused stream (a failing constituent is
-        // counted — unfused code counts at fetch — and everything after
-        // it is not).
-        GetStructureSeq(fu, a, ops) => {
-            {
-                let f = m.frame_mut();
-                f.opcodes.hit(GetStructure(*fu, *a).opcode_index());
-                f.executed += 1;
-            }
-            let arg = m.frame().x[*a as usize];
-            if m.get_structure(*fu, arg) {
-                return run_unify_seq(m, ops);
-            }
-            false
-        }
-        GetListSeq(a, ops) => {
-            {
-                let f = m.frame_mut();
-                f.opcodes.hit(GetList(*a).opcode_index());
-                f.executed += 1;
-            }
-            let arg = m.frame().x[*a as usize];
-            if m.get_list(arg) {
-                return run_unify_seq(m, ops);
-            }
-            false
-        }
-        PutValueSeq(moves) => {
-            let f = m.frame_mut();
-            f.opcodes.hit_n(
-                PutValue(moves[0].0, moves[0].1).opcode_index(),
-                moves.len() as u64,
-            );
-            f.executed += moves.len() as u64;
-            for &(slot, a) in moves {
-                let v = f.read_slot(slot);
-                f.x[a as usize] = v;
-            }
-            true
-        }
     };
     Ok(if ok { Flow::Continue } else { Flow::Fail })
-}
-
-/// Execute the fused `unify_*` run of a [`Instr::GetStructureSeq`] /
-/// [`Instr::GetListSeq`] superinstruction: the constituents' exact
-/// semantics with no per-op fetch/decode, each attributed to its plain
-/// opcode in the histogram.
-fn run_unify_seq<I: Interpretation>(m: &mut I, ops: &[UnifyOp]) -> Result<Flow, I::Error> {
-    for &op in ops {
-        {
-            let f = m.frame_mut();
-            f.opcodes.hit(op.opcode_index());
-            f.executed += 1;
-        }
-        let ok = match op {
-            UnifyOp::Variable(slot) => {
-                match m.frame().mode {
-                    Mode::Read => {
-                        let s = m.frame().s;
-                        let cell = m.read_subterm(s);
-                        let f = m.frame_mut();
-                        f.write_slot(slot, cell);
-                        f.s += 1;
-                    }
-                    Mode::Write => {
-                        let f = m.frame_mut();
-                        let addr = f.push_unbound();
-                        f.write_slot(slot, I::Cell::mk_ref(addr));
-                    }
-                }
-                true
-            }
-            UnifyOp::Value(slot) => match m.frame().mode {
-                Mode::Read => {
-                    let f = m.frame_mut();
-                    let v = f.read_slot(slot);
-                    let s = f.s;
-                    f.s += 1;
-                    m.unify(v, I::Cell::mk_ref(s))
-                }
-                Mode::Write => {
-                    let f = m.frame_mut();
-                    let v = f.read_slot(slot);
-                    f.heap.push(v);
-                    true
-                }
-            },
-            UnifyOp::Constant(c) => match m.frame().mode {
-                Mode::Read => {
-                    let f = m.frame_mut();
-                    let s = f.s;
-                    f.s += 1;
-                    m.get_constant(c, I::Cell::mk_ref(s))
-                }
-                Mode::Write => {
-                    m.frame_mut().heap.push(I::Cell::mk_const(c));
-                    true
-                }
-            },
-            UnifyOp::Void(n) => {
-                let f = m.frame_mut();
-                match f.mode {
-                    Mode::Read => f.s += n as usize,
-                    Mode::Write => {
-                        for _ in 0..n {
-                            f.push_unbound();
-                        }
-                    }
-                }
-                true
-            }
-        };
-        if !ok {
-            return Ok(Flow::Fail);
-        }
-    }
-    Ok(Flow::Continue)
 }

@@ -135,13 +135,6 @@ impl OpcodeCounts {
         self.counts[index] += 1;
     }
 
-    /// Count `n` dispatches of opcode `index` at once — fused
-    /// superinstruction runs attribute their constituents in one step.
-    #[inline]
-    pub fn hit_n(&mut self, index: usize, n: u64) {
-        self.counts[index] += n;
-    }
-
     /// The count for opcode `index` (zero if out of range).
     pub fn get(&self, index: usize) -> u64 {
         self.counts.get(index).copied().unwrap_or(0)

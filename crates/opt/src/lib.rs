@@ -173,38 +173,34 @@ fn classify_head(
     entries: &[(Pattern, Option<Pattern>)],
     row: &mut PredOpt,
 ) {
-    // Walk constituents, so fused superinstructions classify the same
-    // as the plain opcodes they pack.
-    'head: for instr in &compiled.code[entry..] {
-        for constituent in instr.expand() {
-            match &constituent {
-                Instr::GetConstant(_, a) | Instr::GetList(a) | Instr::GetStructure(_, a)
-                    if (*a as usize) < states.len() =>
-                {
-                    match states[*a as usize] {
-                        ArgState::ReadOnly => row.read_only_gets += 1,
-                        ArgState::WriteOnly => row.write_only_gets += 1,
-                        ArgState::Mixed => row.mixed_gets += 1,
-                    }
-                    if let Instr::GetConstant(c, a) = &constituent {
-                        if constant_pinned(entries, *a as usize, *c) {
-                            row.redundant_const_checks += 1;
-                        }
+    for instr in &compiled.code[entry..] {
+        match instr {
+            Instr::GetConstant(_, a) | Instr::GetList(a) | Instr::GetStructure(_, a)
+                if (*a as usize) < states.len() =>
+            {
+                match states[*a as usize] {
+                    ArgState::ReadOnly => row.read_only_gets += 1,
+                    ArgState::WriteOnly => row.write_only_gets += 1,
+                    ArgState::Mixed => row.mixed_gets += 1,
+                }
+                if let Instr::GetConstant(c, a) = instr {
+                    if constant_pinned(entries, *a as usize, *c) {
+                        row.redundant_const_checks += 1;
                     }
                 }
-                Instr::GetVariable(..) | Instr::GetValue(..) => {}
-                Instr::UnifyVariable(_)
-                | Instr::UnifyValue(_)
-                | Instr::UnifyConstant(_)
-                | Instr::UnifyVoid(_)
-                | Instr::Allocate(_)
-                | Instr::GetLevel(_)
-                | Instr::GetConstant(..)
-                | Instr::GetList(_)
-                | Instr::GetStructure(..) => {}
-                // First body instruction ends the head section.
-                _ => break 'head,
             }
+            Instr::GetVariable(..) | Instr::GetValue(..) => {}
+            Instr::UnifyVariable(_)
+            | Instr::UnifyValue(_)
+            | Instr::UnifyConstant(_)
+            | Instr::UnifyVoid(_)
+            | Instr::Allocate(_)
+            | Instr::GetLevel(_)
+            | Instr::GetConstant(..)
+            | Instr::GetList(_)
+            | Instr::GetStructure(..) => {}
+            // First body instruction ends the head section.
+            _ => break,
         }
     }
 }

@@ -6,7 +6,7 @@
 //! depends only on the RNG stream and the current program, an edit
 //! sequence over an evolving program replays exactly from `(campaign
 //! seed, case index, edit index)`: the campaign seed fixes the generated
-//! program, and oracle #9 derives edit `j`'s RNG seed from the
+//! program, and the `incremental` oracle derives edit `j`'s RNG seed from the
 //! fingerprint of the source as it stands after edits `0..j` (see
 //! [`crate::oracle::Oracle::Incremental`]).
 //!
@@ -110,7 +110,7 @@ fn fresh_name(program_text: &str) -> String {
 /// Draw one well-formed random edit against `program`.
 ///
 /// The draw consumes a bounded number of RNG values, so an edit sequence
-/// is replayable by re-seeding the RNG per edit (what oracle #9 does).
+/// is replayable by re-seeding the RNG per edit (what the `incremental` oracle does).
 pub fn gen_edit(rng: &mut Rng, program: &Program) -> ProgramEdit {
     let preds = predicates(program);
     if preds.is_empty() {

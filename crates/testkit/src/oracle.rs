@@ -9,20 +9,18 @@
 //! | oracle      | equivalence checked                                        |
 //! |-------------|------------------------------------------------------------|
 //! | `soundness` | every traced concrete call is covered by the analysis (§4.1)|
-//! | `interning` | structural (Linear) and interned (Hashed) consult paths agree on results |
-//! | `traces`    | the two consult paths emit byte-identical JSONL traces      |
+//! | `traces`    | two fresh analyzers emit byte-identical JSONL traces        |
 //! | `batch`     | `analyze_batch` at 1/2/8 workers equals sequential runs     |
 //! | `sessions`  | a warm session hit answers exactly what the cold run said   |
 //! | `budget`    | analysis terminates within the iteration/instruction budget |
 //! | `provenance`| derivation tracking is invisible (byte-identical reports and traces) and every recorded lub chain re-folds to the stored summary |
-//! | `fusion`    | superinstruction fusion is invisible: fused and unfused code give byte-identical traces, reports and opcode histograms |
 //! | `incremental` | after k random edits, the incrementally repaired table's goal-reachable core is byte-equal to a cold re-analysis of the edited source |
 
 use crate::editgen::{gen_edit, minimize_edits};
 use crate::rng::{case_seed, Rng};
 use absdom::Pattern;
 use awam_core::incremental::{ProgramEdit, UpdateError, Workspace};
-use awam_core::{program_fingerprint, Analysis, AnalysisError, Analyzer, BatchGoal, EtImpl};
+use awam_core::{program_fingerprint, Analysis, AnalysisError, Analyzer, BatchGoal};
 use awam_obs::{JsonlTracer, RecordingTracer};
 use prolog_syntax::parse_program;
 use wam::compile_program;
@@ -45,9 +43,8 @@ const MAX_SOLUTIONS: usize = 64;
 pub enum Oracle {
     /// Concrete-call-coverage soundness.
     Soundness,
-    /// Structural-vs-interned ET result equality (Linear vs Hashed).
-    Interning,
-    /// Byte-identical JSONL traces between the two consult paths.
+    /// Byte-identical JSONL traces between two fresh analyzers of the
+    /// same program.
     Traces,
     /// Sequential-vs-batch equality at 1, 2 and 8 workers.
     Batch,
@@ -58,9 +55,6 @@ pub enum Oracle {
     /// Provenance-on vs provenance-off invisibility plus lub-chain
     /// refolding.
     Provenance,
-    /// Fused-vs-unfused invisibility: byte-identical traces, reports
-    /// and per-opcode histograms.
-    Fusion,
     /// Incremental-vs-cold equality under random edit sequences: the
     /// goal-reachable core of the repaired table must be byte-equal to
     /// a cold re-analysis after every edit.
@@ -69,15 +63,13 @@ pub enum Oracle {
 
 impl Oracle {
     /// Every oracle, in matrix order.
-    pub const ALL: [Oracle; 9] = [
+    pub const ALL: [Oracle; 7] = [
         Oracle::Soundness,
-        Oracle::Interning,
         Oracle::Traces,
         Oracle::Batch,
         Oracle::Sessions,
         Oracle::Budget,
         Oracle::Provenance,
-        Oracle::Fusion,
         Oracle::Incremental,
     ];
 
@@ -85,13 +77,11 @@ impl Oracle {
     pub fn name(self) -> &'static str {
         match self {
             Oracle::Soundness => "soundness",
-            Oracle::Interning => "interning",
             Oracle::Traces => "traces",
             Oracle::Batch => "batch",
             Oracle::Sessions => "sessions",
             Oracle::Budget => "budget",
             Oracle::Provenance => "provenance",
-            Oracle::Fusion => "fusion",
             Oracle::Incremental => "incremental",
         }
     }
@@ -131,13 +121,11 @@ pub fn check(oracle: Oracle, source: &str) -> Result<(), OracleOutcome> {
     let setup = Setup::new(source)?;
     match oracle {
         Oracle::Soundness => setup.soundness(),
-        Oracle::Interning => setup.interning(),
         Oracle::Traces => setup.traces(),
         Oracle::Batch => setup.batch(),
         Oracle::Sessions => setup.sessions(),
         Oracle::Budget => setup.budget(),
         Oracle::Provenance => setup.provenance(),
-        Oracle::Fusion => setup.fusion(),
         Oracle::Incremental => setup.incremental(),
     }
 }
@@ -177,12 +165,12 @@ impl Setup {
         Pattern::from_spec(&specs).expect("all-any specs are always valid")
     }
 
-    fn analyzer(&self, et: EtImpl) -> Analyzer {
-        Analyzer::builder().et_impl(et).build(self.compiled.clone())
+    fn analyzer(&self) -> Analyzer {
+        Analyzer::from_compiled(self.compiled.clone())
     }
 
-    fn analyze(&self, et: EtImpl) -> Result<Analysis, OracleOutcome> {
-        self.analyzer(et)
+    fn analyze(&self) -> Result<Analysis, OracleOutcome> {
+        self.analyzer()
             .analyze("p0", &self.entry_pattern())
             .map_err(analysis_outcome)
     }
@@ -196,7 +184,7 @@ impl Setup {
     /// widening: the first solution follows the first clause, so only
     /// backtracked solutions can contradict a frozen summary.
     fn soundness(&self) -> Result<(), OracleOutcome> {
-        let analysis = self.analyze(EtImpl::Linear)?;
+        let analysis = self.analyze()?;
         let mut tracer = RecordingTracer::default();
         let mut machine = Machine::new(&self.compiled);
         machine.set_tracer(&mut tracer);
@@ -273,39 +261,16 @@ impl Setup {
         Ok(())
     }
 
-    /// The structural (Linear scan, allocation-free matcher) and interned
-    /// (Hashed, id-keyed probe) consult paths must agree on everything the
-    /// analysis says.
-    fn interning(&self) -> Result<(), OracleOutcome> {
-        let lin = self.analyze(EtImpl::Linear)?;
-        let hash = self.analyze(EtImpl::Hashed)?;
-        if lin.predicates != hash.predicates {
-            return Err(OracleOutcome::Violation(
-                "per-predicate results diverge between Linear and Hashed consult paths".into(),
-            ));
-        }
-        if lin.iterations != hash.iterations {
-            return Err(OracleOutcome::Violation(format!(
-                "iteration counts diverge: Linear {} vs Hashed {}",
-                lin.iterations, hash.iterations
-            )));
-        }
-        if lin.instructions_executed != hash.instructions_executed {
-            return Err(OracleOutcome::Violation(format!(
-                "abstract work diverges: Linear {} vs Hashed {} instructions",
-                lin.instructions_executed, hash.instructions_executed
-            )));
-        }
-        Ok(())
-    }
-
-    /// The serialized event stream must not change by a byte when the
-    /// lookup structure switches from structural scans to id probes.
+    /// The serialized event stream is a pure function of the program:
+    /// two fresh analyzers (each with its own interner and table) must
+    /// emit the same bytes. Catches any iteration over a
+    /// `RandomState`-seeded map or other per-instance nondeterminism
+    /// leaking into the fixpoint order.
     fn traces(&self) -> Result<(), OracleOutcome> {
         let entry = self.entry_pattern();
         let mut streams = Vec::new();
-        for et in [EtImpl::Linear, EtImpl::Hashed] {
-            let analyzer = self.analyzer(et);
+        for _ in 0..2 {
+            let analyzer = self.analyzer();
             let mut tracer = JsonlTracer::new(Vec::new());
             analyzer
                 .analyze_traced("p0", &entry, &mut tracer)
@@ -314,7 +279,7 @@ impl Setup {
         }
         if streams[0] != streams[1] {
             return Err(OracleOutcome::Violation(
-                "JSONL trace bytes differ between structural and interned consult paths".into(),
+                "JSONL trace bytes differ between two runs of the same program".into(),
             ));
         }
         Ok(())
@@ -323,7 +288,7 @@ impl Setup {
     /// `analyze_batch` is a pure speedup: goal-for-goal identical to
     /// sequential runs at every worker count.
     fn batch(&self) -> Result<(), OracleOutcome> {
-        let analyzer = self.analyzer(EtImpl::Linear);
+        let analyzer = self.analyzer();
         // One goal per live predicate (all-`any` entries), so the batch
         // exercises more than the entry point.
         let goals: Vec<BatchGoal> = self
@@ -370,7 +335,7 @@ impl Setup {
     /// A repeated query through one session is a warm hit that answers
     /// exactly what the cold run answered.
     fn sessions(&self) -> Result<(), OracleOutcome> {
-        let analyzer = self.analyzer(EtImpl::Linear);
+        let analyzer = self.analyzer();
         let entry = self.entry_pattern();
         let mut session = analyzer.session();
         let cold = session.analyze("p0", &entry).map_err(analysis_outcome)?;
@@ -400,7 +365,7 @@ impl Setup {
     /// rails (no `IterationLimit`/`DepthLimit`) and inside the abstract
     /// instruction budget.
     fn budget(&self) -> Result<(), OracleOutcome> {
-        let analysis = self.analyze(EtImpl::Linear)?;
+        let analysis = self.analyze()?;
         if analysis.instructions_executed > ABSTRACT_INSTR_BUDGET {
             return Err(OracleOutcome::Violation(format!(
                 "analysis executed {} abstract instructions (budget {})",
@@ -424,7 +389,6 @@ impl Setup {
         let mut derivations = None;
         for on in [false, true] {
             let analyzer = Analyzer::builder()
-                .et_impl(EtImpl::Linear)
                 .provenance(on)
                 .build(self.compiled.clone());
             let mut tracer = JsonlTracer::new(Vec::new());
@@ -464,59 +428,7 @@ impl Setup {
         Ok(())
     }
 
-    /// Superinstruction fusion must be invisible: a fused run and an
-    /// unfused run (`fuse(false)`) of the same program must emit
-    /// byte-identical JSONL traces and reports, execute the same number
-    /// of (constituent-attributed) instructions, and agree on every
-    /// per-opcode dispatch count.
-    fn fusion(&self) -> Result<(), OracleOutcome> {
-        let entry = self.entry_pattern();
-        let mut reports = Vec::new();
-        let mut streams = Vec::new();
-        let mut analyses = Vec::new();
-        for fuse in [true, false] {
-            let analyzer = Analyzer::builder()
-                .et_impl(EtImpl::Linear)
-                .fuse(fuse)
-                .build(self.compiled.clone());
-            let mut tracer = JsonlTracer::new(Vec::new());
-            let analysis = analyzer
-                .analyze_traced("p0", &entry, &mut tracer)
-                .map_err(analysis_outcome)?;
-            streams.push(tracer.into_inner().map_err(|e| infra("trace flush", e))?);
-            reports.push(analysis.report(&analyzer));
-            analyses.push(analysis);
-        }
-        if streams[0] != streams[1] {
-            return Err(OracleOutcome::Violation(
-                "JSONL trace bytes differ between fused and unfused code".into(),
-            ));
-        }
-        if reports[0] != reports[1] {
-            return Err(OracleOutcome::Violation(
-                "analysis report differs between fused and unfused code".into(),
-            ));
-        }
-        if analyses[0].instructions_executed != analyses[1].instructions_executed {
-            return Err(OracleOutcome::Violation(format!(
-                "attributed instruction counts diverge: fused {} vs unfused {}",
-                analyses[0].instructions_executed, analyses[1].instructions_executed
-            )));
-        }
-        for i in 0..wam::NUM_OPCODES {
-            if analyses[0].opcodes.get(i) != analyses[1].opcodes.get(i) {
-                return Err(OracleOutcome::Violation(format!(
-                    "opcode histogram diverges at {}: fused {} vs unfused {}",
-                    wam::OPCODE_NAMES[i],
-                    analyses[0].opcodes.get(i),
-                    analyses[1].opcodes.get(i)
-                )));
-            }
-        }
-        Ok(())
-    }
-
-    /// Oracle #9: apply [`INCREMENTAL_EDITS`] random edits through the
+    /// The `incremental` oracle: apply [`INCREMENTAL_EDITS`] random edits through the
     /// incremental [`Workspace`], and after every applied edit require
     /// the goal-reachable core of the repaired table (both the raw
     /// entry dump and the rendered report) to be **byte-equal** to a
@@ -574,7 +486,7 @@ impl Setup {
     }
 }
 
-/// How many random edits oracle #9 applies per generated program.
+/// How many random edits the `incremental` oracle applies per generated program.
 const INCREMENTAL_EDITS: u64 = 4;
 
 /// Open a workspace on `source` and run the entry analysis once.

@@ -166,17 +166,12 @@ pub fn compile_program(program: &Program) -> Result<CompiledProgram, CompileErro
             clause_entries: pc.clause_entries,
         });
     }
-    let mut compiled = CompiledProgram {
+    Ok(CompiledProgram {
         code,
         predicates,
         pred_map,
         interner: norm.interner,
-    };
-    // Collapse hot instruction runs into superinstructions (see
-    // `crate::fuse`). Analyses that want the plain stream back call
-    // `fuse::unfuse_program` — the exact inverse.
-    crate::fuse::fuse_program(&mut compiled);
-    Ok(compiled)
+    })
 }
 
 #[cfg(test)]

@@ -73,60 +73,6 @@ pub type PredIdx = usize;
 /// A resolved code address.
 pub type CodeAddr = usize;
 
-/// One constituent of a fused unify run (see [`Instr::GetStructureSeq`]).
-///
-/// These are the four `unify_*` instructions with their operands, minus the
-/// instruction-stream framing: a fused `get_structure`/`get_list` head carries
-/// its whole argument run as one operand vector, so the executor pays a single
-/// fetch/decode for the entire sequence.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub enum UnifyOp {
-    /// `unify_variable Vn`.
-    Variable(Slot),
-    /// `unify_value Vn`.
-    Value(Slot),
-    /// `unify_constant c`.
-    Constant(WamConst),
-    /// `unify_void n`.
-    Void(u16),
-}
-
-impl UnifyOp {
-    /// The plain [`Instr`] this operand stands for.
-    pub fn to_instr(self) -> Instr {
-        match self {
-            UnifyOp::Variable(v) => Instr::UnifyVariable(v),
-            UnifyOp::Value(v) => Instr::UnifyValue(v),
-            UnifyOp::Constant(c) => Instr::UnifyConstant(c),
-            UnifyOp::Void(n) => Instr::UnifyVoid(n),
-        }
-    }
-
-    /// The opcode index of the constituent instruction — used by the
-    /// executor to attribute fused executions back to the plain opcodes in
-    /// dynamic histograms.
-    #[inline]
-    pub fn opcode_index(self) -> usize {
-        match self {
-            UnifyOp::Variable(_) => 10,
-            UnifyOp::Value(_) => 11,
-            UnifyOp::Constant(_) => 12,
-            UnifyOp::Void(_) => 13,
-        }
-    }
-
-    /// Try to view a plain instruction as a fusable unify operand.
-    pub fn from_instr(instr: &Instr) -> Option<UnifyOp> {
-        match instr {
-            Instr::UnifyVariable(v) => Some(UnifyOp::Variable(*v)),
-            Instr::UnifyValue(v) => Some(UnifyOp::Value(*v)),
-            Instr::UnifyConstant(c) => Some(UnifyOp::Constant(*c)),
-            Instr::UnifyVoid(n) => Some(UnifyOp::Void(*n)),
-            _ => None,
-        }
-    }
-}
-
 /// One WAM instruction.
 ///
 /// Argument-register operands are raw `u16` X-register indices (0-based).
@@ -218,23 +164,10 @@ pub enum Instr {
     SwitchOnStructure(Vec<(Functor, CodeAddr)>),
     /// Unconditional failure (backtrack).
     Fail,
-
-    // ----- fused superinstructions (emitted by `crate::fuse`) -----
-    /// `get_structure f/n, Ai` fused with its trailing `unify_*` run.
-    GetStructureSeq(Functor, u16, Vec<UnifyOp>),
-    /// `get_list Ai` fused with its trailing `unify_*` run.
-    GetListSeq(u16, Vec<UnifyOp>),
-    /// A run of two or more consecutive `put_value Vn, Ai` moves.
-    PutValueSeq(Vec<(Slot, u16)>),
 }
 
 /// Number of distinct opcodes in [`Instr`].
-pub const NUM_OPCODES: usize = 36;
-
-/// Opcode index of the first fused superinstruction. Indices `>=` this are
-/// superinstructions whose dynamic executions are attributed back to their
-/// constituents (indices `< FIRST_FUSED_OPCODE`) in opcode histograms.
-pub const FIRST_FUSED_OPCODE: usize = 33;
+pub const NUM_OPCODES: usize = 33;
 
 /// Opcode mnemonics, indexed by [`Instr::opcode_index`].
 pub const OPCODE_NAMES: [&str; NUM_OPCODES] = [
@@ -271,9 +204,6 @@ pub const OPCODE_NAMES: [&str; NUM_OPCODES] = [
     "switch_on_constant",
     "switch_on_structure",
     "fail",
-    "get_structure_seq",
-    "get_list_seq",
-    "put_value_seq",
 ];
 
 impl Instr {
@@ -315,38 +245,6 @@ impl Instr {
             SwitchOnConstant(..) => 30,
             SwitchOnStructure(..) => 31,
             Fail => 32,
-            GetStructureSeq(..) => 33,
-            GetListSeq(..) => 34,
-            PutValueSeq(..) => 35,
-        }
-    }
-
-    /// Whether this is a fused superinstruction.
-    pub fn is_fused(&self) -> bool {
-        self.opcode_index() >= FIRST_FUSED_OPCODE
-    }
-
-    /// The constituent plain instructions. A fused superinstruction expands
-    /// to the sequence it replaces; every other instruction expands to
-    /// itself. `unfuse`, static opcode coverage, and `disasm` all rely on
-    /// this being the exact inverse of the fusion pass.
-    pub fn expand(&self) -> Vec<Instr> {
-        use Instr::*;
-        match self {
-            GetStructureSeq(f, a, ops) => {
-                let mut out = Vec::with_capacity(1 + ops.len());
-                out.push(GetStructure(*f, *a));
-                out.extend(ops.iter().map(|op| op.to_instr()));
-                out
-            }
-            GetListSeq(a, ops) => {
-                let mut out = Vec::with_capacity(1 + ops.len());
-                out.push(GetList(*a));
-                out.extend(ops.iter().map(|op| op.to_instr()));
-                out
-            }
-            PutValueSeq(moves) => moves.iter().map(|&(v, a)| PutValue(v, a)).collect(),
-            other => vec![other.clone()],
         }
     }
 
@@ -410,14 +308,6 @@ impl Instr {
                 format!("switch_on_structure [{}]", entries.join(", "))
             }
             Fail => "fail".into(),
-            // Fused superinstructions render as their constituent expansion
-            // joined inline, so listings stay readable and static-coverage
-            // greps keep seeing the plain mnemonics.
-            GetStructureSeq(..) | GetListSeq(..) | PutValueSeq(..) => {
-                let parts: Vec<String> =
-                    self.expand().iter().map(|i| i.display(interner)).collect();
-                parts.join(" + ")
-            }
         }
     }
 }
@@ -433,69 +323,13 @@ mod tests {
             (Instr::Proceed, "proceed"),
             (Instr::SwitchOnConstant(Vec::new()), "switch_on_constant"),
             (Instr::Fail, "fail"),
-            (Instr::GetListSeq(0, Vec::new()), "get_list_seq"),
         ];
         for (instr, name) in samples {
             let idx = instr.opcode_index();
             assert!(idx < NUM_OPCODES);
             assert_eq!(OPCODE_NAMES[idx], name);
         }
-        assert_eq!(Instr::Fail.opcode_index(), FIRST_FUSED_OPCODE - 1);
-        assert_eq!(
-            Instr::PutValueSeq(Vec::new()).opcode_index(),
-            NUM_OPCODES - 1
-        );
-        assert!(Instr::GetStructureSeq(
-            Functor {
-                name: prolog_syntax::Interner::new().intern("f"),
-                arity: 1
-            },
-            0,
-            vec![UnifyOp::Void(1)]
-        )
-        .is_fused());
-        assert!(!Instr::Fail.is_fused());
-    }
-
-    #[test]
-    fn fused_expansion_and_display() {
-        let mut interner = Interner::new();
-        let f = Functor {
-            name: interner.intern("foo"),
-            arity: 2,
-        };
-        let fused = Instr::GetStructureSeq(
-            f,
-            0,
-            vec![
-                UnifyOp::Variable(Slot::X(3)),
-                UnifyOp::Constant(WamConst::Int(7)),
-            ],
-        );
-        assert_eq!(
-            fused.expand(),
-            vec![
-                Instr::GetStructure(f, 0),
-                Instr::UnifyVariable(Slot::X(3)),
-                Instr::UnifyConstant(WamConst::Int(7)),
-            ]
-        );
-        assert_eq!(
-            fused.display(&interner),
-            "get_structure foo/2, A1 + unify_variable X4 + unify_constant 7"
-        );
-        // Plain instructions expand to themselves.
-        assert_eq!(Instr::Proceed.expand(), vec![Instr::Proceed]);
-        // Round trip through UnifyOp is lossless.
-        for op in [
-            UnifyOp::Variable(Slot::Y(1)),
-            UnifyOp::Value(Slot::X(0)),
-            UnifyOp::Constant(WamConst::Int(3)),
-            UnifyOp::Void(2),
-        ] {
-            assert_eq!(UnifyOp::from_instr(&op.to_instr()), Some(op));
-            assert_eq!(op.opcode_index(), op.to_instr().opcode_index());
-        }
+        assert_eq!(Instr::Fail.opcode_index(), NUM_OPCODES - 1);
     }
 
     #[test]

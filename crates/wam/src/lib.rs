@@ -40,7 +40,6 @@ pub mod builtins;
 pub mod classify;
 pub mod codegen;
 pub mod compile;
-pub mod fuse;
 pub mod index;
 pub mod instr;
 pub mod norm;
@@ -48,8 +47,4 @@ pub mod text;
 
 pub use builtins::Builtin;
 pub use compile::{compile_program, CompileError, CompiledProgram, PredEntry, PredId};
-pub use fuse::{fuse_program, unfuse_program};
-pub use instr::{
-    CodeAddr, Functor, Instr, PredIdx, Slot, UnifyOp, WamConst, FIRST_FUSED_OPCODE, NUM_OPCODES,
-    OPCODE_NAMES,
-};
+pub use instr::{CodeAddr, Functor, Instr, PredIdx, Slot, WamConst, NUM_OPCODES, OPCODE_NAMES};

@@ -13,7 +13,7 @@
 
 use crate::builtins::Builtin;
 use crate::compile::{CompiledProgram, PredEntry};
-use crate::instr::{Functor, Instr, Slot, UnifyOp, WamConst};
+use crate::instr::{Functor, Instr, Slot, WamConst};
 use prolog_syntax::{Interner, PredKey, Symbol};
 use std::collections::HashMap;
 use std::fmt;
@@ -237,20 +237,6 @@ fn functor_text(f: Functor) -> String {
     format!("{}/{}", f.name.index(), f.arity)
 }
 
-fn unify_op_text(op: UnifyOp) -> String {
-    match op {
-        UnifyOp::Variable(s) => format!("uv:{}", slot_text(s)),
-        UnifyOp::Value(s) => format!("uw:{}", slot_text(s)),
-        UnifyOp::Constant(c) => format!("uc:{}", const_text(c)),
-        UnifyOp::Void(n) => format!("un:{n}"),
-    }
-}
-
-fn unify_ops_text(ops: &[UnifyOp]) -> String {
-    let parts: Vec<String> = ops.iter().map(|op| unify_op_text(*op)).collect();
-    parts.join(" ")
-}
-
 fn instr_text(i: &Instr) -> String {
     use Instr::*;
     match i {
@@ -306,21 +292,6 @@ fn instr_text(i: &Instr) -> String {
             format!("switch_on_structure {}", entries.join(" "))
         }
         Fail => "fail".into(),
-        GetStructureSeq(f, a, ops) => {
-            format!(
-                "get_structure_seq {} {a} {}",
-                functor_text(*f),
-                unify_ops_text(ops)
-            )
-        }
-        GetListSeq(a, ops) => format!("get_list_seq {a} {}", unify_ops_text(ops)),
-        PutValueSeq(moves) => {
-            let parts: Vec<String> = moves
-                .iter()
-                .map(|(s, a)| format!("{}:{a}", slot_text(*s)))
-                .collect();
-            format!("put_value_seq {}", parts.join(" "))
-        }
     }
 }
 
@@ -442,26 +413,6 @@ fn parse_instr(line: &str, reader: &Reader<'_>) -> Result<Instr, TextError> {
         s.and_then(|s| s.parse().ok())
             .ok_or_else(|| reader.error(format!("missing {what}")))
     };
-    let unify_ops = |tokens: &[&str]| -> Result<Vec<UnifyOp>, TextError> {
-        tokens
-            .iter()
-            .map(|tok| {
-                if let Some(s) = tok.strip_prefix("uv:") {
-                    Ok(UnifyOp::Variable(slot(s)?))
-                } else if let Some(s) = tok.strip_prefix("uw:") {
-                    Ok(UnifyOp::Value(slot(s)?))
-                } else if let Some(c) = tok.strip_prefix("uc:") {
-                    Ok(UnifyOp::Constant(constant(c)?))
-                } else if let Some(n) = tok.strip_prefix("un:") {
-                    Ok(UnifyOp::Void(n.parse().map_err(|_| {
-                        reader.error(format!("bad unify_void count {tok:?}"))
-                    })?))
-                } else {
-                    Err(reader.error(format!("bad unify op {tok:?}")))
-                }
-            })
-            .collect()
-    };
 
     use Instr::*;
     let instr = match op {
@@ -541,29 +492,6 @@ fn parse_instr(line: &str, reader: &Reader<'_>) -> Result<Instr, TextError> {
             SwitchOnStructure(table)
         }
         "fail" => Fail,
-        "get_structure_seq" => {
-            let f = functor(rest[0])?;
-            let a = num16(rest.get(1), "arg")?;
-            GetStructureSeq(f, a, unify_ops(&rest[2..])?)
-        }
-        "get_list_seq" => {
-            let a = num16(rest.first(), "arg")?;
-            GetListSeq(a, unify_ops(&rest[1..])?)
-        }
-        "put_value_seq" => {
-            let mut moves = Vec::with_capacity(rest.len());
-            for entry in &rest {
-                let (s, a) = entry
-                    .split_once(':')
-                    .ok_or_else(|| reader.error("bad put_value_seq entry"))?;
-                moves.push((
-                    slot(s)?,
-                    a.parse()
-                        .map_err(|_| reader.error("bad put_value_seq arg"))?,
-                ));
-            }
-            PutValueSeq(moves)
-        }
         other => return Err(reader.error(format!("unknown opcode {other:?}"))),
     };
     Ok(instr)

@@ -78,9 +78,6 @@
 
 use std::fmt;
 
-#[cfg(feature = "mimalloc")]
-pub mod alloc;
-
 pub use absdom;
 pub use awam_core as analysis;
 pub use awam_exec as exec;

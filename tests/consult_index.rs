@@ -1,13 +1,11 @@
-//! The indexed consult (PR 7, layer 2): the Linear extension table now
-//! answers every lookup from a per-predicate id index instead of
-//! rescanning its entry list, with `scan_steps` kept as the consult-cost
-//! counter (exactly one step per lookup).
+//! The indexed consult: the extension table answers every lookup from a
+//! per-predicate id index instead of rescanning its entry list, with
+//! `scan_steps` kept as the consult-cost counter (exactly one step per
+//! lookup).
 //!
 //! * `scan_steps == lookups` on every Table 1 benchmark, with the zebra
 //!   and nreverse counters pinned exactly (zebra burned 7,102 scan steps
 //!   on 300 lookups before the index).
-//! * Linear and Hashed modes produce identical analyses and identical
-//!   counters — the index made the modes share one consult path.
 //! * The index lives inside the table a [`Session`] keeps, so it
 //!   survives (and keeps answering across) seeded warm-table runs.
 //!
@@ -16,7 +14,6 @@
 //! also re-validate index/scan parity on every lookup they trigger.
 
 use awam::absdom::Pattern;
-use awam::analysis::EtImpl;
 use awam::Analyzer;
 
 /// One scan step per lookup, on all eleven benchmarks.
@@ -59,43 +56,6 @@ fn consult_counters_pinned_on_zebra_and_nreverse() {
         assert_eq!(t.hits, hits, "{name}: hits");
         assert_eq!(t.misses, misses, "{name}: misses");
         assert_eq!(t.inserts, inserts, "{name}: inserts");
-    }
-}
-
-/// Linear (indexed probe) and Hashed modes agree on every benchmark:
-/// same per-predicate results, same report text, same table counters.
-#[test]
-fn hashed_and_linear_modes_agree_on_all_benchmarks() {
-    for b in awam::suite::all() {
-        let program = b.parse().expect("parse");
-        let entry = Pattern::from_spec(b.entry_specs).expect("specs");
-        let linear = Analyzer::builder()
-            .et_impl(EtImpl::Linear)
-            .compile(&program)
-            .expect("compile linear");
-        let hashed = Analyzer::builder()
-            .et_impl(EtImpl::Hashed)
-            .compile(&program)
-            .expect("compile hashed");
-        let a = linear.analyze(b.entry, &entry).expect("linear analysis");
-        let h = hashed.analyze(b.entry, &entry).expect("hashed analysis");
-        assert_eq!(a.predicates, h.predicates, "{}: results differ", b.name);
-        assert_eq!(
-            a.report(&linear),
-            h.report(&hashed),
-            "{}: reports differ",
-            b.name
-        );
-        assert_eq!(
-            a.table_stats, h.table_stats,
-            "{}: table counters differ between modes",
-            b.name
-        );
-        assert_eq!(
-            a.iterations, h.iterations,
-            "{}: iteration counts differ",
-            b.name
-        );
     }
 }
 

@@ -12,15 +12,11 @@ use awam::suite;
 use awam::syntax::parse_program;
 use awam::wam::{compile_program, CompiledProgram, NUM_OPCODES, OPCODE_NAMES};
 
-/// Per-opcode histogram of the static code area, with fused
-/// superinstructions expanded to their constituents — matching how the
-/// executor attributes dynamic dispatches back to plain opcodes.
+/// Per-opcode histogram of the static code area.
 fn static_opcode_counts(compiled: &CompiledProgram) -> Vec<u64> {
     let mut counts = vec![0u64; NUM_OPCODES];
     for instr in &compiled.code {
-        for constituent in instr.expand() {
-            counts[constituent.opcode_index()] += 1;
-        }
+        counts[instr.opcode_index()] += 1;
     }
     counts
 }
